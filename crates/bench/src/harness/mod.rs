@@ -425,6 +425,8 @@ const COST_COUNTERS: &[&str] = &[
     "learnt_clauses",
     "cnf_vars",
     "cnf_clauses",
+    "copy_vars",
+    "copy_clauses",
     "resplits",
     "leaves",
 ];

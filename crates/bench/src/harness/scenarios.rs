@@ -11,14 +11,14 @@ use std::time::{Duration, Instant};
 
 use polykey_attack::{AttackSession, AttackStatus, SimOracle, SplitStrategy};
 use polykey_circuits::Iscas85;
-use polykey_encode::{build_miter, check_equivalence, EquivResult};
+use polykey_encode::{build_miter, check_equivalence, EquivResult, PinnedCopyEncoder};
 use polykey_locking::{
     lock_sarlock_on_signals, AntiSat, Key, LockScheme, LutLock, Rll, Sarlock,
 };
 use polykey_netlist::analysis::levels;
 use polykey_netlist::{bits_of, GateKind, Netlist, NodeId, Simulator};
 use polykey_sat::Solver;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 use super::{ms, Record, ScenarioCtx, ScenarioResult};
 use crate::{fmt_duration, TextTable};
@@ -998,9 +998,17 @@ pub fn adaptive(ctx: &ScenarioCtx) -> ScenarioResult {
     ScenarioResult { records, rendered: out, table: Some(table) }
 }
 
-/// CNF miter-encoding cost per scheme × circuit — the substrate the whole
-/// attack stands on, measured without running any attack. Only reachable
-/// through the harness (there is no standalone bin).
+/// DIPs whose two pinned constraint copies the `encode` scenario times per
+/// cell: enough that a cell's `copies_ms` clears the compare gate's noise
+/// floor if copies ever cost a whole-netlist walk again.
+const ENCODE_COPY_DIPS: usize = 1024;
+
+/// CNF encoding cost per scheme × circuit — the substrate the whole attack
+/// stands on, measured without running any attack. Each cell times the
+/// miter, then the per-DIP constraint copies on top of it: both key copies
+/// at `ENCODE_COPY_DIPS` seeded random DIPs, encoded as the folded SAT
+/// attack encodes them. Only reachable through the harness (there is no
+/// standalone bin).
 pub fn encode(ctx: &ScenarioCtx) -> ScenarioResult {
     let seed = ctx.seed.unwrap_or(0xE4C0DE);
     let circuits: Vec<Iscas85> = if ctx.quick {
@@ -1016,14 +1024,24 @@ pub fn encode(ctx: &ScenarioCtx) -> ScenarioResult {
     let mut records = Vec::new();
     let _ = writeln!(
         out,
-        "Miter encoding cost: {} schemes x {} circuits (Tseitin CNF of two locked copies)",
+        "CNF encoding cost: {} schemes x {} circuits (Tseitin CNF of two locked copies, \
+         then both pinned constraint copies at {ENCODE_COPY_DIPS} random DIPs)",
         schemes.len(),
         circuits.len()
     );
-    let _ = writeln!(out, "cells: CNF vars / clauses (encode time)\n");
+    let _ = writeln!(out, "cells: CNF vars / clauses (encode time), per miter and per copy\n");
 
-    let mut table =
-        TextTable::new(vec!["circuit / scheme", "key bits", "vars", "clauses", "time"]);
+    let mut table = TextTable::new(vec![
+        "circuit / scheme",
+        "key bits",
+        "vars",
+        "clauses",
+        "time",
+        "cone gates",
+        "vars/copy",
+        "clauses/copy",
+        "time/copy",
+    ]);
     for circuit in &circuits {
         let original = circuit.build();
         for scheme in &schemes {
@@ -1037,29 +1055,66 @@ pub fn encode(ctx: &ScenarioCtx) -> ScenarioResult {
             };
             let started = Instant::now();
             let mut solver = Solver::new();
-            build_miter(&mut solver, &locked.netlist, &locked.netlist).expect("acyclic");
+            let miter =
+                build_miter(&mut solver, &locked.netlist, &locked.netlist).expect("acyclic");
             let elapsed = started.elapsed();
+            let (miter_vars, miter_clauses) = (solver.num_vars(), solver.num_clauses());
             records.push(
                 Record::new("encode")
                     .label("circuit", circuit.name())
                     .label("scheme", scheme.name())
                     .metric("encode_ms", ms(elapsed))
-                    .metric("cnf_vars", solver.num_vars() as f64)
-                    .metric("cnf_clauses", solver.num_clauses() as f64)
+                    .metric("cnf_vars", miter_vars as f64)
+                    .metric("cnf_clauses", miter_clauses as f64)
                     .metric("key_bits", locked.key.len() as f64)
                     .metric("locked_gates", locked.netlist.num_gates() as f64),
+            );
+
+            let num_inputs = locked.netlist.inputs().len();
+            let dips: Vec<Vec<bool>> = (0..ENCODE_COPY_DIPS)
+                .map(|_| (0..num_inputs).map(|_| rng.random_bool(0.5)).collect())
+                .collect();
+            let mut copies = PinnedCopyEncoder::new(&locked.netlist).expect("acyclic");
+            let started = Instant::now();
+            for dip in &dips {
+                let mut pinned = copies.pin_inputs(dip).expect("input width");
+                for keys in [&miter.keys_left, &miter.keys_right] {
+                    pinned.encode_copy(&mut solver, keys).expect("key width");
+                }
+            }
+            let copies_elapsed = started.elapsed();
+            let num_copies = 2 * dips.len();
+            let per_copy = copies_elapsed / num_copies as u32;
+            let copy_vars = (solver.num_vars() - miter_vars) as f64 / num_copies as f64;
+            let copy_clauses =
+                (solver.num_clauses() - miter_clauses) as f64 / num_copies as f64;
+            records.push(
+                Record::new("encode")
+                    .label("circuit", circuit.name())
+                    .label("scheme", scheme.name())
+                    .label("layer", "copy")
+                    .metric("copies_ms", ms(copies_elapsed))
+                    .metric("copy_ms", ms(per_copy))
+                    .metric("copy_vars", copy_vars)
+                    .metric("copy_clauses", copy_clauses)
+                    .metric("copies", num_copies as f64)
+                    .metric("cone_gates", copies.cone_gates() as f64),
             );
             table.row(vec![
                 format!("{}/{}", circuit.name(), scheme.name()),
                 format!("{}", locked.key.len()),
-                format!("{}", solver.num_vars()),
-                format!("{}", solver.num_clauses()),
+                format!("{miter_vars}"),
+                format!("{miter_clauses}"),
                 fmt_duration(elapsed),
+                format!("{}", copies.cone_gates()),
+                format!("{copy_vars:.1}"),
+                format!("{copy_clauses:.1}"),
+                fmt_duration(per_copy),
             ]);
         }
     }
     let _ = writeln!(out, "{}", table.render());
     let _ = writeln!(out, "the miter dominates each attack's base CNF; per-DIP copies then");
-    let _ = writeln!(out, "grow it (folded copies add only the key cones).");
+    let _ = writeln!(out, "grow it by their key cones only (one simulation pass per DIP).");
     ScenarioResult { records, rendered: out, table: Some(table) }
 }

@@ -13,10 +13,10 @@
 
 use std::time::{Duration, Instant};
 
-use polykey_encode::{assert_value, build_miter, encode, Binding};
+use polykey_encode::{assert_value, build_miter, PinnedCopyEncoder};
 use polykey_locking::Key;
 use polykey_netlist::{Netlist, Simulator};
-use polykey_sat::{SolveResult, Solver, SolverConfig};
+use polykey_sat::{Lit, SolveResult, Solver, SolverConfig};
 
 use crate::error::AttackError;
 use crate::oracle::Oracle;
@@ -105,6 +105,8 @@ pub fn appsat_attack(
     let queries_start = oracle.queries();
     let mut solver = Solver::with_config(config.solver);
     let miter = build_miter(&mut solver, locked, locked)?;
+    let mut copies = PinnedCopyEncoder::new(locked)?;
+    let both_keys: [&[Lit]; 2] = [&miter.keys_left, &miter.keys_right];
     let mut sim = Simulator::new(locked)?;
     let ni = locked.inputs().len();
 
@@ -133,8 +135,7 @@ pub fn appsat_attack(
                         .collect();
                     let response = oracle.query(&dip);
                     dips += 1;
-                    constrain(&mut solver, locked, &miter.keys_left, &dip, &response)?;
-                    constrain(&mut solver, locked, &miter.keys_right, &dip, &response)?;
+                    constrain(&mut solver, &mut copies, both_keys, &dip, &response)?;
                 }
                 SolveResult::Unsat => {
                     exact = true;
@@ -172,8 +173,7 @@ pub fn appsat_attack(
             let response = oracle.query(&input);
             if sim.eval(&input, &kb) != response {
                 mismatches += 1;
-                constrain(&mut solver, locked, &miter.keys_left, &input, &response)?;
-                constrain(&mut solver, locked, &miter.keys_right, &input, &response)?;
+                constrain(&mut solver, &mut copies, both_keys, &input, &response)?;
             }
         }
         estimated_error = mismatches as f64 / config.queries_per_round.max(1) as f64;
@@ -193,18 +193,20 @@ pub fn appsat_attack(
     })
 }
 
-/// Adds "this key copy reproduces `response` at `input`" to the solver.
+/// Adds "both key copies reproduce `response` at `input`" to the solver.
 fn constrain(
     solver: &mut Solver,
-    locked: &Netlist,
-    keys: &[polykey_sat::Lit],
+    copies: &mut PinnedCopyEncoder<'_>,
+    keys: [&[Lit]; 2],
     input: &[bool],
     response: &[bool],
 ) -> Result<(), AttackError> {
-    let binding = Binding::with_pinned_inputs_shared_keys(input, keys);
-    let enc = encode(solver, locked, &binding)?;
-    for (out, &want) in enc.outputs.iter().zip(response) {
-        assert_value(solver, *out, want);
+    let mut pinned = copies.pin_inputs(input)?;
+    for keys in keys {
+        let outputs = pinned.encode_copy(solver, keys)?;
+        for (out, &want) in outputs.iter().zip(response) {
+            assert_value(solver, *out, want);
+        }
     }
     Ok(())
 }

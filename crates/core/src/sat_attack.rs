@@ -20,11 +20,12 @@
 use std::time::{Duration, Instant};
 
 use polykey_encode::{
-    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, PortBinding,
+    assert_equal, assert_value, build_miter, encode, Binding, CnfValue, PinnedCopyEncoder,
+    PortBinding,
 };
 use polykey_locking::Key;
 use polykey_netlist::Netlist;
-use polykey_sat::{SolveResult, Solver, SolverConfig, SolverStats};
+use polykey_sat::{Lit, SolveResult, Solver, SolverConfig, SolverStats};
 
 use crate::error::AttackError;
 use crate::oracle::Oracle;
@@ -72,6 +73,13 @@ pub struct SatAttackConfig {
     /// the inputs (`false`), the textbook formulation of the original SAT
     /// attack and of the paper's tooling, whose per-iteration CNF growth is
     /// what makes LUT-based insertion expensive in Table 2.
+    ///
+    /// The folded copies come from one [`PinnedCopyEncoder`] per run: it
+    /// finds the key cone and its gate order once, simulates each DIP once
+    /// (shared by both key copies) to fold every key-independent node to a
+    /// constant, and encodes only the key-cone gates of each copy. The CNF
+    /// is exactly what [`polykey_encode::encode`] emits for the same
+    /// pinned-input, shared-key binding.
     pub fold_dip_copies: bool,
     /// Soft DIP budget: stop with [`AttackStatus::BudgetExhausted`] after
     /// this many DIPs (None = no budget). Unlike [`SatAttackConfig::max_dips`]
@@ -248,32 +256,58 @@ struct PendingDip {
     copies: Option<[Vec<CnfValue>; 2]>,
 }
 
-/// Encodes one consistency-constraint copy of `locked` at `dip` for the
-/// given shared key literals, returning the copy's output values. In the
-/// folded mode inputs are pinned as constants (the copy collapses to its
-/// key cone); in textbook mode a full copy is added with unit clauses on
-/// the inputs.
-fn encode_constraint_copy(
-    solver: &mut Solver,
-    locked: &Netlist,
-    config: &SatAttackConfig,
-    dip: &[bool],
-    keys: &[polykey_sat::Lit],
-) -> Result<Vec<CnfValue>, AttackError> {
-    let binding = if config.fold_dip_copies {
-        Binding::with_pinned_inputs_shared_keys(dip, keys)
-    } else {
-        let mut b = Binding::fresh(locked);
-        b.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
-        b
-    };
-    let enc = encode(solver, locked, &binding)?;
-    if !config.fold_dip_copies {
-        for (val, &bit) in enc.inputs.iter().zip(dip) {
-            assert_value(solver, *val, bit);
-        }
+/// How the per-DIP consistency constraints are encoded (see
+/// [`SatAttackConfig::fold_dip_copies`]).
+enum ConstraintCopies<'a> {
+    /// Inputs pinned as constants: one simulation pass per DIP folds every
+    /// key-independent node, and each copy encodes only the key cone.
+    Folded(Box<PinnedCopyEncoder<'a>>),
+    /// Full circuit copies with unit clauses on the inputs.
+    Textbook(&'a Netlist),
+}
+
+impl<'a> ConstraintCopies<'a> {
+    fn new(locked: &'a Netlist, config: &SatAttackConfig) -> Result<Self, AttackError> {
+        Ok(if config.fold_dip_copies {
+            ConstraintCopies::Folded(Box::new(PinnedCopyEncoder::new(locked)?))
+        } else {
+            ConstraintCopies::Textbook(locked)
+        })
     }
-    Ok(enc.outputs)
+
+    /// Encodes the left and then the right consistency copy at `dip`, one
+    /// per key vector in `keys`, and hands each copy's output values to
+    /// `each` as soon as that copy is encoded (so clauses `each` adds land
+    /// between the two copies).
+    fn encode_pair(
+        &mut self,
+        solver: &mut Solver,
+        dip: &[bool],
+        keys: [&[Lit]; 2],
+        mut each: impl FnMut(&mut Solver, Vec<CnfValue>),
+    ) -> Result<(), AttackError> {
+        match self {
+            ConstraintCopies::Folded(copies) => {
+                let mut pinned = copies.pin_inputs(dip)?;
+                for keys in keys {
+                    let outputs = pinned.encode_copy(solver, keys)?;
+                    each(solver, outputs);
+                }
+            }
+            ConstraintCopies::Textbook(locked) => {
+                for keys in keys {
+                    let mut binding = Binding::fresh(locked);
+                    binding.keys = keys.iter().map(|&l| PortBinding::Shared(l)).collect();
+                    let enc = encode(solver, locked, &binding)?;
+                    for (val, &bit) in enc.inputs.iter().zip(dip) {
+                        assert_value(solver, *val, bit);
+                    }
+                    each(solver, enc.outputs);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The DIP-refinement engine behind both [`sat_attack`] and
@@ -327,6 +361,8 @@ pub(crate) fn run_sat_attack(
     let queries_at_start = oracle.queries();
     let mut solver = Solver::with_config(config.solver);
     let miter = build_miter(&mut solver, locked, locked)?;
+    let mut copies = ConstraintCopies::new(locked, config)?;
+    let both_keys: [&[Lit]; 2] = [&miter.keys_left, &miter.keys_right];
     for &(idx, value) in &config.force_inputs {
         let lit = miter.inputs[idx];
         solver.add_clause(&[if value { lit } else { !lit }]);
@@ -457,20 +493,12 @@ pub(crate) fn run_sat_attack(
                         batch.push(PendingDip { dip, copies: None });
                         break;
                     }
-                    let left = encode_constraint_copy(
-                        &mut solver,
-                        locked,
-                        config,
-                        &dip,
-                        &miter.keys_left,
-                    )?;
-                    let right = encode_constraint_copy(
-                        &mut solver,
-                        locked,
-                        config,
-                        &dip,
-                        &miter.keys_right,
-                    )?;
+                    let mut encoded = Vec::with_capacity(2);
+                    copies.encode_pair(&mut solver, &dip, both_keys, |_, outputs| {
+                        encoded.push(outputs);
+                    })?;
+                    let [left, right]: [Vec<CnfValue>; 2] =
+                        encoded.try_into().expect("one copy per key vector");
                     for (&l, &r) in left.iter().zip(&right) {
                         assert_equal(&mut solver, l, r);
                     }
@@ -513,18 +541,16 @@ pub(crate) fn run_sat_attack(
                             }
                         }
                         None => {
-                            for keys in [&miter.keys_left, &miter.keys_right] {
-                                let outputs = encode_constraint_copy(
-                                    &mut solver,
-                                    locked,
-                                    config,
-                                    &pending.dip,
-                                    keys,
-                                )?;
-                                for (out, &bit) in outputs.iter().zip(response) {
-                                    assert_value(&mut solver, *out, bit);
-                                }
-                            }
+                            copies.encode_pair(
+                                &mut solver,
+                                &pending.dip,
+                                both_keys,
+                                |solver, outputs| {
+                                    for (out, &bit) in outputs.iter().zip(response) {
+                                        assert_value(solver, *out, bit);
+                                    }
+                                },
+                            )?;
                         }
                     }
                 }

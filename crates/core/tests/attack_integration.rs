@@ -10,6 +10,7 @@ use polykey_attack::{
 use polykey_circuits::{arith, generate_random, Iscas85, RandomCircuitSpec};
 use polykey_encode::{check_equivalence, EquivResult};
 use polykey_locking::{AntiSat, Key, LockScheme, LutLock, Rll, Sarlock};
+use polykey_netlist::analysis::key_controlled_mask;
 use polykey_netlist::Netlist;
 use rand::SeedableRng;
 
@@ -373,6 +374,67 @@ fn fully_poisoned_oracle_fails_every_term_gracefully() {
     assert_eq!(outcome.reports.len(), 4);
     assert!(outcome.reports.iter().all(|r| r.status == AttackStatus::Failed));
     assert!(report.sub_keys().is_empty());
+}
+
+/// An oracle that flips one output bit of its first answer.
+struct LyingOracle<'a> {
+    inner: SimOracle<'a>,
+    flip_output: usize,
+    answered: u64,
+}
+
+impl Oracle for LyingOracle<'_> {
+    fn num_inputs(&self) -> usize {
+        self.inner.num_inputs()
+    }
+
+    fn num_outputs(&self) -> usize {
+        self.inner.num_outputs()
+    }
+
+    fn query(&mut self, input: &[bool]) -> Vec<bool> {
+        let mut response = self.inner.query(input);
+        if self.answered == 0 {
+            response[self.flip_output] ^= true;
+        }
+        self.answered += 1;
+        response
+    }
+
+    fn queries(&self) -> u64 {
+        self.inner.queries()
+    }
+}
+
+/// A wrong oracle answer on an output outside the key cone contradicts a
+/// constant of the folded DIP copies: no key can reproduce it, so the
+/// attack must end `Inconsistent` with no key — never `Success` — whether
+/// the answer lands on the classic path or on a batch's steering copies.
+#[test]
+fn wrong_answer_outside_the_key_cone_is_inconsistent() {
+    let original = arith::ripple_adder(2);
+    let locked = Sarlock::new(4).lock(&original, &Key::from_u64(0b1011, 4)).expect("lockable");
+    let key_cone = key_controlled_mask(&locked.netlist);
+    let flip_output = locked
+        .netlist
+        .outputs()
+        .iter()
+        .position(|o| !key_cone[o.index()])
+        .expect("SARLock corrupts a single output");
+    for dip_batch in [1, 64] {
+        let inner = SimOracle::new(&original).expect("oracle");
+        let mut oracle = LyingOracle { inner, flip_output, answered: 0 };
+        let report = AttackSession::builder()
+            .oracle(&mut oracle)
+            .dip_batch(dip_batch)
+            .build()
+            .unwrap()
+            .run(&locked.netlist)
+            .expect("a lying oracle is not an error");
+        assert_eq!(report.status(), AttackStatus::Inconsistent, "dip_batch {dip_batch}");
+        assert!(report.key().is_none(), "dip_batch {dip_batch}");
+        assert!(oracle.answered >= 1);
+    }
 }
 
 /// Regression for the split-width overflow: `1u64 << 64` used to wrap to

@@ -6,6 +6,9 @@
 //! - [`encode`]: Tseitin encoding of a netlist copy with caller-controlled
 //!   port bindings ([`Binding`]): fresh variables, shared literals, or
 //!   pinned constants (with on-the-fly constant propagation);
+//! - [`PinnedCopyEncoder`]: the same pinned-input, shared-key copies the
+//!   SAT attack adds per DIP, encoded from a key-cone plan — one simulation
+//!   pass per DIP, clauses only for key-cone gates;
 //! - [`build_miter`]: two circuit copies sharing primary inputs plus a
 //!   `diff` literal that, when assumed, forces an output difference — the
 //!   engine of the oracle-guided SAT attack;
@@ -43,10 +46,12 @@
 
 mod equiv;
 mod miter;
+mod pinned;
 mod tseitin;
 
 pub use equiv::{check_equivalence, EquivError, EquivResult};
 pub use miter::{build_miter, Miter, MiterError};
+pub use pinned::{PinnedCopyEncoder, PinnedInputs};
 pub use tseitin::{
     assert_equal, assert_value, encode, encode_key_variant, Binding, CnfValue, EncodeError,
     EncodedCircuit, PortBinding,

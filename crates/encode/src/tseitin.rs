@@ -315,7 +315,11 @@ pub fn encode_key_variant<S: ClauseSink>(
 }
 
 /// Encodes a single gate, folding constants.
-fn encode_gate<S: ClauseSink>(sink: &mut S, kind: GateKind, fanins: &[CnfValue]) -> CnfValue {
+pub(crate) fn encode_gate<S: ClauseSink>(
+    sink: &mut S,
+    kind: GateKind,
+    fanins: &[CnfValue],
+) -> CnfValue {
     match kind {
         GateKind::Input | GateKind::KeyInput => unreachable!("handled by caller"),
         GateKind::Const(v) => CnfValue::Const(v),

@@ -56,6 +56,12 @@ impl<'a> Simulator<'a> {
         self.netlist
     }
 
+    /// The cached evaluation order: [`Netlist::topological_order`] of the
+    /// bound netlist.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
     /// Evaluates a single input pattern. Returns output values in output
     /// declaration order.
     ///
