@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use polykey_encode::{assert_value, build_miter, PinnedCopyEncoder};
 use polykey_locking::Key;
-use polykey_netlist::{Netlist, Simulator};
+use polykey_netlist::{pack_patterns, unpack_patterns, Netlist, Simulator};
 use polykey_sat::{Lit, SolveResult, Solver, SolverConfig};
 
 use crate::error::AttackError;
@@ -165,15 +165,29 @@ pub fn appsat_attack(
             estimated_error = 0.0;
             break;
         }
-        // Phase 3: random reinforcement + error estimation.
-        let kb = key.as_ref().expect("set above").bits().to_vec();
+        // Phase 3: random reinforcement + error estimation. The oracle and
+        // the candidate key answer 64 patterns per pass; mismatches are
+        // constrained in draw order.
+        let keys_packed: Vec<u64> = key
+            .as_ref()
+            .expect("set above")
+            .bits()
+            .iter()
+            .map(|&b| if b { u64::MAX } else { 0 })
+            .collect();
+        let inputs: Vec<Vec<bool>> = (0..config.queries_per_round)
+            .map(|_| (0..ni).map(|_| next_bit()).collect())
+            .collect();
         let mut mismatches = 0usize;
-        for _ in 0..config.queries_per_round {
-            let input: Vec<bool> = (0..ni).map(|_| next_bit()).collect();
-            let response = oracle.query(&input);
-            if sim.eval(&input, &kb) != response {
-                mismatches += 1;
-                constrain(&mut solver, &mut copies, both_keys, &input, &response)?;
+        for chunk in inputs.chunks(64) {
+            let responses = oracle.query_batch(chunk);
+            let packed = sim.eval_packed(&pack_patterns(chunk, ni), &keys_packed);
+            let candidate = unpack_patterns(&packed, chunk.len());
+            for ((input, response), got) in chunk.iter().zip(&responses).zip(&candidate) {
+                if got != response {
+                    mismatches += 1;
+                    constrain(&mut solver, &mut copies, both_keys, input, response)?;
+                }
             }
         }
         estimated_error = mismatches as f64 / config.queries_per_round.max(1) as f64;
@@ -268,6 +282,100 @@ mod tests {
         );
         // And it used far fewer DIPs than the exact attack's ~2^6.
         assert!(outcome.dips <= 16, "got {} dips", outcome.dips);
+    }
+
+    /// Counts how the attack talks to the oracle: scalar queries, batch
+    /// calls, and the largest batch.
+    struct CountingOracle<'a> {
+        inner: SimOracle<'a>,
+        scalar_calls: u64,
+        batch_calls: u64,
+        largest_batch: usize,
+    }
+
+    impl Oracle for CountingOracle<'_> {
+        fn num_inputs(&self) -> usize {
+            self.inner.num_inputs()
+        }
+
+        fn num_outputs(&self) -> usize {
+            self.inner.num_outputs()
+        }
+
+        fn query(&mut self, input: &[bool]) -> Vec<bool> {
+            self.scalar_calls += 1;
+            self.inner.query(input)
+        }
+
+        fn query_batch(&mut self, inputs: &[Vec<bool>]) -> Vec<Vec<bool>> {
+            self.batch_calls += 1;
+            self.largest_batch = self.largest_batch.max(inputs.len());
+            self.inner.query_batch(inputs)
+        }
+
+        fn queries(&self) -> u64 {
+            self.inner.queries()
+        }
+    }
+
+    #[test]
+    fn reinforcement_is_batched_and_matches_the_scalar_loop() {
+        // The expected outcomes were recorded from the scalar loop (one
+        // `query` and one `Simulator::eval` per random input). Batching
+        // must keep the key, DIPs, queries and error estimate identical.
+        let nl = sample_circuit();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let rll = Rll::new(5).with_seed(4).lock_random(&nl, &mut rng).unwrap();
+        let sar = Sarlock::new(6).lock(&nl, &Key::from_u64(0b101101, 6)).unwrap();
+        // (locked, dips_per_round, queries_per_round, max_rounds,
+        //  key, estimated_error, exact, rounds, dips, oracle_queries)
+        let cases = [
+            (&rll.netlist, 0, 3, 1, 0b11000, 1.0, false, 1, 0, 3),
+            (&rll.netlist, 0, 130, 1, 0b11000, 1.0, false, 1, 0, 130),
+            (&rll.netlist, 1, 10, 1, 0b01010, 0.5, false, 1, 1, 11),
+            (&rll.netlist, 0, 64, 2, 0b01110, 0.0, false, 2, 0, 128),
+            (&rll.netlist, 1, 100, 6, 0b10110, 0.0, true, 2, 1, 101),
+            (&sar.netlist, 0, 3, 1, 0b001100, 1.0 / 3.0, false, 1, 0, 3),
+            (&sar.netlist, 0, 130, 1, 0b001100, 1.0 / 130.0, false, 1, 0, 130),
+            (&sar.netlist, 1, 10, 1, 0b110100, 0.0, false, 1, 1, 11),
+            (&sar.netlist, 0, 64, 2, 0b001110, 3.0 / 64.0, false, 2, 0, 128),
+            (&sar.netlist, 1, 100, 6, 0b010111, 0.0, false, 5, 5, 505),
+        ];
+        for (i, &(locked, dpr, q, max_rounds, key, error, exact, rounds, dips, queries)) in
+            cases.iter().enumerate()
+        {
+            let mut oracle = CountingOracle {
+                inner: SimOracle::new(&nl).unwrap(),
+                scalar_calls: 0,
+                batch_calls: 0,
+                largest_batch: 0,
+            };
+            let config = AppSatConfig {
+                dips_per_round: dpr,
+                queries_per_round: q,
+                max_rounds,
+                ..AppSatConfig::default()
+            };
+            let outcome = appsat_attack(locked, &mut oracle, &config).unwrap();
+            let width = locked.key_inputs().len();
+            assert_eq!(outcome.key, Some(Key::from_u64(key, width)), "case {i}");
+            assert_eq!(outcome.estimated_error, error, "case {i}");
+            assert_eq!(
+                (outcome.exact, outcome.rounds, outcome.dips, outcome.oracle_queries),
+                (exact, rounds, dips, queries),
+                "case {i}"
+            );
+            // DIPs stay scalar; each reinforcement round answers its
+            // inputs in ceil(q / 64) batches of at most 64.
+            let reinforced_rounds = (rounds - usize::from(exact)) as u64;
+            assert_eq!(oracle.scalar_calls, dips, "case {i}");
+            assert_eq!(
+                oracle.batch_calls,
+                reinforced_rounds * q.div_ceil(64) as u64,
+                "case {i}"
+            );
+            assert!(oracle.largest_batch <= 64, "case {i}");
+        }
     }
 
     #[test]

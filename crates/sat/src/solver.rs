@@ -5,6 +5,17 @@
 //! learning with deep (recursive) minimization, phase saving, Luby restarts,
 //! activity/LBD-guided learnt-clause deletion, and incremental solving under
 //! assumptions.
+//!
+//! Clauses satisfied at decision level 0 are removed by a sweep over the
+//! whole clause database, budgeted by propagations as in MiniSat 2.2: after
+//! a sweep the budget is set to the live literal count, every propagated
+//! literal spends one unit, and the next sweep runs only once the budget is
+//! spent *and* the level-0 trail has grown. Incremental callers that fix new
+//! level-0 facts before every solve (the SAT attack asserts each DIP's
+//! outputs) therefore pay at most about one clause-literal visit per
+//! propagation for sweeping, not one full scan per solve. Between sweeps,
+//! satisfied clauses stay attached; propagation skips them through the
+//! true-blocker check.
 
 use std::time::{Duration, Instant};
 
@@ -184,9 +195,14 @@ pub struct Solver {
     conflict_budget: Option<u64>,
     deadline: Option<Instant>,
     budget_exhausted: bool,
+    /// Work (decisions plus conflicts) at which the deadline is next read;
+    /// reset at every `solve` call so the first check happens at once.
+    next_clock_check: u64,
 
     /// Trail length at the last `simplify`, to skip no-op passes.
     simp_trail_len: usize,
+    /// Propagations left before the next `simplify` sweep may run.
+    simp_props: i64,
 }
 
 impl Default for Solver {
@@ -228,7 +244,9 @@ impl Solver {
             conflict_budget: None,
             deadline: None,
             budget_exhausted: false,
+            next_clock_check: 0,
             simp_trail_len: 0,
+            simp_props: 0,
         }
     }
 
@@ -287,7 +305,8 @@ impl Solver {
     }
 
     /// Limits the next `solve` call to roughly `limit` of wall-clock time
-    /// (checked every few hundred conflicts). `None` removes the limit.
+    /// (checked when the call starts searching and then every 256 decisions
+    /// plus conflicts of that call). `None` removes the limit.
     pub fn set_time_budget(&mut self, limit: Option<Duration>) {
         self.deadline = limit.map(|d| Instant::now() + d);
     }
@@ -376,6 +395,7 @@ impl Solver {
         }
 
         let conflicts_start = self.stats.conflicts;
+        self.next_clock_check = self.work();
         let mut curr_restarts = 0u64;
         let status = loop {
             let budget = (luby(self.config.restart_inc, curr_restarts)
@@ -493,6 +513,7 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            self.simp_props -= 1;
             let pi = p.code();
             let false_lit = !p;
 
@@ -824,9 +845,13 @@ impl Solver {
     }
 
     /// Removes clauses satisfied at level 0. Call only at decision level 0.
+    ///
+    /// A sweep visits every live clause, so it runs only once the
+    /// propagations since the last sweep reach that sweep's live literal
+    /// count, and only if level 0 has gained facts since.
     fn simplify(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
-        if !self.ok || self.trail.len() == self.simp_trail_len {
+        if !self.ok || self.trail.len() == self.simp_trail_len || self.simp_props > 0 {
             return;
         }
         self.simp_trail_len = self.trail.len();
@@ -844,6 +869,7 @@ impl Solver {
                 self.remove_clause(cref);
             }
         }
+        self.simp_props = self.db.lits_live() as i64;
     }
 
     // ------------------------------------------------------------------
@@ -935,17 +961,28 @@ impl Solver {
         }
     }
 
-    fn out_of_budget(&self, conflicts_start: u64) -> bool {
+    /// Decisions plus conflicts so far: the unit the clock-check stride
+    /// counts in.
+    fn work(&self) -> u64 {
+        self.stats.decisions + self.stats.conflicts
+    }
+
+    fn out_of_budget(&mut self, conflicts_start: u64) -> bool {
         if let Some(budget) = self.conflict_budget {
             if self.stats.conflicts - conflicts_start >= budget {
                 return true;
             }
         }
         if let Some(deadline) = self.deadline {
-            // Checking the clock is cheap relative to propagation between
-            // decisions; check on a stride via conflicts counter.
-            if self.stats.conflicts % 256 == 0 && Instant::now() >= deadline {
-                return true;
+            // Read the clock at the first check of a call, then once per 256
+            // decisions plus conflicts of that call. A threshold, not a
+            // modulus: several conflicts can land between two checks.
+            let work = self.work();
+            if work >= self.next_clock_check {
+                self.next_clock_check = work + 256;
+                if Instant::now() >= deadline {
+                    return true;
+                }
             }
         }
         false
@@ -1222,6 +1259,35 @@ mod tests {
         // Remove the budget and finish.
         s.set_conflict_budget(None);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn zero_time_budget_stops_a_solve_after_earlier_conflicts() {
+        // The deadline is read on a per-call stride, whatever the solver's
+        // conflict total: a conflict count off a multiple of 256 must not
+        // let a whole solve run past an expired deadline.
+        let n = 20_000usize;
+        // x1..xn are free: a satisfying model takes one decision each.
+        let mut s = solver_with_vars(n + 3);
+        // Under `sel`, (a, b) has no assignment: solving with `sel` assumed
+        // costs a conflict or two.
+        let (a, b, sel) = (lit(n as i32 + 1), lit(n as i32 + 2), lit(n as i32 + 3));
+        for (x, y) in [(a, b), (a, !b), (!a, b), (!a, !b)] {
+            s.add_clause(&[!sel, x, y]);
+        }
+        assert_eq!(s.solve(&[sel]), SolveResult::Unsat);
+        let conflicts = s.stats().conflicts;
+        assert!(conflicts > 0 && conflicts % 256 != 0, "got {conflicts} conflicts");
+
+        s.set_time_budget(Some(Duration::ZERO));
+        let decisions = s.stats().decisions;
+        assert_eq!(s.solve(&[]), SolveResult::Unknown);
+        assert!(s.budget_exhausted());
+        assert_eq!(s.stats().decisions, decisions, "no decision after the deadline");
+
+        s.set_time_budget(None);
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert!(s.stats().decisions - decisions > 256, "one decision per free variable");
     }
 
     #[test]

@@ -105,6 +105,71 @@ proptest! {
     }
 }
 
+/// Strategy: one literal over the first `max_vars` variables.
+fn arb_lit(max_vars: u32) -> impl Strategy<Value = Lit> {
+    (0..max_vars, proptest::bool::ANY).prop_map(|(v, neg)| Lit::new(Var::new(v), neg))
+}
+
+/// One round of incremental use: unit clauses, wider clauses, and the
+/// assumptions of the round's solve (empty: a plain solve).
+type Round = (Vec<Lit>, Vec<Vec<Lit>>, Vec<Lit>);
+
+fn arb_round(max_vars: u32) -> impl Strategy<Value = Round> {
+    (
+        proptest::collection::vec(arb_lit(max_vars), 0..=1),
+        proptest::collection::vec(proptest::collection::vec(arb_lit(max_vars), 2..=5), 0..=6),
+        proptest::collection::vec(arb_lit(max_vars), 0..=3),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn incremental_rounds_with_level0_units(
+        rounds in proptest::collection::vec(arb_round(8), 2..=24),
+    ) {
+        // Units fixed between solves leave clauses satisfied at level 0;
+        // the budgeted sweep removes some of them and leaves others
+        // attached. Every answer must match brute force over all clauses
+        // added so far, and every model must satisfy each of them, swept
+        // or not.
+        let mut solver = Solver::new();
+        let mut added = CnfFormula::new();
+        added.set_num_vars(8);
+        for _ in 0..8 {
+            ClauseSink::new_var(&mut solver);
+        }
+        for (units, wide, assumptions) in &rounds {
+            for &u in units {
+                solver.add_clause(&[u]);
+                added.add_clause(&[u]);
+            }
+            for c in wide {
+                solver.add_clause(c);
+                added.add_clause(c);
+            }
+            for asm in [assumptions.as_slice(), &[]] {
+                let result = solver.solve(asm);
+                let mut expected = added.clone();
+                for &l in asm {
+                    expected.add_clause(&[l]);
+                }
+                prop_assert_eq!(result == SolveResult::Sat, brute_force_sat(&expected));
+                if result == SolveResult::Sat {
+                    let assignment: Vec<bool> = (0..8)
+                        .map(|i| solver.model_value(Var::new(i).positive()).unwrap())
+                        .collect();
+                    prop_assert_eq!(added.eval(&assignment), Some(true));
+                    for &l in asm {
+                        prop_assert_eq!(solver.model_value(l), Some(true));
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Deterministic stress tests
 // ---------------------------------------------------------------------
